@@ -1,15 +1,18 @@
 """Exact rational coordinates with a checked dyadic view.
 
 Every coordinate in this package is an arbitrary-precision rational kept in
-lowest terms; nothing in the core ever touches floating point.  The storage
-type is :class:`fractions.Fraction` (aliased ``ExactNumber``).  The dyadic
-representation p/2^q is a *view* obtained through :func:`as_dyadic`, not a
-second storage type: the group maps rationals to rationals, and marked sets
-may legitimately contain non-dyadic points.
+lowest terms; nothing in the core ever touches floating point.  Coordinates
+cross the package boundary as :class:`fractions.Fraction` (aliased
+``ExactNumber``); the dyadic representation p/2^q is a view obtained
+through :func:`as_dyadic`, since the group maps rationals to rationals and
+marked sets may legitimately contain non-dyadic points.  Group elements,
+whose coordinates are all dyadic, store them internally as integers over a
+common power of two and serialize them with :func:`format_dyadic`.
 
 Serialization is the string ``"p/q"`` in lowest terms, with bare integers for
 whole values (``"0"``, ``"1"``).  The accepted input grammar is
-``INT | INT "/" INT | INT "/2^" INT`` with no whitespace inside a token.
+``INT | INT "/" INT | INT "/2^" INT`` with no whitespace inside a token and
+a caret exponent of at most :data:`MAX_CARET_EXPONENT`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ ExactNumber = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+# Largest q accepted in "p/2^q": far above any depth the toolkit meets, and
+# refused before 2**q is built.
+MAX_CARET_EXPONENT = 4096
 
 _NUMBER_RE = re.compile(r"(-?\d+)(?:/(?:2\^(\d+)|([1-9]\d*)))?\Z")
 
@@ -44,14 +51,23 @@ def parse_number(text: str) -> Fraction:
     """Parse ``"p"``, ``"p/q"`` or ``"p/2^q"`` into an exact rational.
 
     The result is in lowest terms.  Raises :class:`MalformedNumber` on
-    anything outside the grammar, including a zero denominator.
+    anything outside the grammar, including a non-string token, a zero
+    denominator and a caret exponent above :data:`MAX_CARET_EXPONENT`.
     """
+    if not isinstance(text, str):
+        raise MalformedNumber(f"not a number token: {text!r}")
     m = _NUMBER_RE.match(text)
     if m is None:
         raise MalformedNumber(f"not a number token: {text!r}")
     whole, caret_exp, denom = m.groups()
     if caret_exp is not None:
-        return Fraction(int(whole), 2 ** int(caret_exp))
+        # the digit count is compared first, so a huge exponent is never parsed
+        q = caret_exp.lstrip("0") or "0"
+        if len(q) > len(str(MAX_CARET_EXPONENT)) or int(q) > MAX_CARET_EXPONENT:
+            raise MalformedNumber(
+                f"caret exponent above {MAX_CARET_EXPONENT} in {text[:40]!r}"
+            )
+        return Fraction(int(whole), 2 ** int(q))
     if denom is not None:
         return Fraction(int(whole), int(denom))
     return Fraction(int(whole))
@@ -70,6 +86,16 @@ def format_number(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_dyadic(n: int, e: int) -> str:
+    """Serialize n / 2^e in lowest terms, exactly as :func:`format_number` would."""
+    if n == 0:
+        return "0"
+    common = min((n & -n).bit_length() - 1, e)
+    n >>= common
+    e -= common
+    return str(n) if e == 0 else f"{n}/{1 << e}"
 
 
 def is_power_of_two(n: int) -> bool:

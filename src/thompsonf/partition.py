@@ -171,9 +171,3 @@ def t_of(X: MarkedSet) -> DyadicPartition:
 def common_refinement(S: DyadicPartition, T: DyadicPartition) -> DyadicPartition:
     """Union of the two point sets, again a standard dyadic partition."""
     return DyadicPartition(S.points + T.points)
-
-
-def leaf_has_point(X: MarkedSet, a: Fraction, b: Fraction) -> bool:
-    """True iff some x in X satisfies a <= x < b."""
-    i = bisect_left(X.points, a)
-    return i < len(X.points) and X.points[i] < b

@@ -5,8 +5,14 @@ partitions are enumerated rather than grown greedily, membership tests are
 linear scans, set differences are quadratic pairwise comparisons, and
 element equality goes through the reduced-pair view instead of canonical
 breakpoint keys.
+
+The reference kernel at the end is the original general-``Fraction``
+implementation of group elements, kept as plain functions on breakpoint
+tuples: the validating canonicalisation, the candidate-set composition and
+exact evaluation.  The scaled-integer kernel is checked against it.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +21,7 @@ from thompsonf import (
     PartitionPair,
     ToolkitError,
     compose,
+    format_number,
     from_pair,
     generators,
     identity,
@@ -98,3 +105,97 @@ def minimal_pair_by_enumeration(f, depth):
         if from_pair(pair) == f and (best is None or len(points) < len(best.domain)):
             best = pair
     return best
+
+
+# -- reference Fraction kernel ---------------------------------------------
+
+
+def _power_of_two(n):
+    return n > 0 and n & (n - 1) == 0
+
+
+def ref_canonical(breaks):
+    """Validated canonical breakpoint tuple: sorted, collinear points dropped."""
+    pts = sorted({(Fraction(a), Fraction(b)) for a, b in breaks})
+    if not pts or pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ONE):
+        raise ValueError("breakpoints must run from (0,0) to (1,1)")
+    for (a1, b1), (a2, b2) in zip(pts, pts[1:]):
+        if a1 == a2 or b1 >= b2:
+            raise ValueError("coordinates must be strictly increasing")
+    for a, b in pts:
+        if not (_power_of_two(a.denominator) and _power_of_two(b.denominator)):
+            raise ValueError(f"non-dyadic breakpoint ({a}, {b})")
+    slopes = [(b2 - b1) / (a2 - a1) for (a1, b1), (a2, b2) in zip(pts, pts[1:])]
+    for s in slopes:
+        if not (_power_of_two(s.numerator) and _power_of_two(s.denominator)):
+            raise ValueError(f"slope {s} is not a power of two")
+    keep = [pts[0]]
+    kept_slope = slopes[0]
+    for i in range(1, len(pts) - 1):
+        if slopes[i] != kept_slope:
+            keep.append(pts[i])
+            kept_slope = slopes[i]
+    keep.append(pts[-1])
+    return tuple(keep)
+
+
+def _segment(coords, t):
+    return min(bisect_right(coords, t), len(coords) - 1) - 1
+
+
+def ref_apply(breaks, t):
+    """Exact image of t under the element with these canonical breakpoints."""
+    i = _segment([a for a, _ in breaks], t)
+    (a1, b1), (a2, b2) = breaks[i], breaks[i + 1]
+    return b1 + (b2 - b1) / (a2 - a1) * (t - a1)
+
+
+def ref_apply_inverse(breaks, y):
+    """Exact preimage of y."""
+    return ref_apply(ref_invert(breaks), y)
+
+
+def ref_invert(breaks):
+    return tuple((b, a) for a, b in breaks)
+
+
+def ref_compose(g, f):
+    """Breakpoints of g after f: evaluate at f's breakpoints and f^-1 of g's."""
+    candidates = {a for a, _ in f}
+    candidates.update(ref_apply_inverse(f, a) for a, _ in g)
+    return ref_canonical((t, ref_apply(g, ref_apply(f, t))) for t in candidates)
+
+
+def ref_minimal_pair(breaks):
+    """(domain, range) point tuples of the minimal pair, by greedy subdivision."""
+    acoords = [a for a, _ in breaks]
+
+    def acceptable(a, b):
+        i = bisect_right(acoords, a) - 1
+        if acoords[i + 1] < b:
+            return False
+        fa, fb = ref_apply(breaks, a), ref_apply(breaks, b)
+        gap = fb - fa
+        return (
+            gap.numerator == 1
+            and _power_of_two(gap.denominator)
+            and gap.denominator % fa.denominator == 0
+        )
+
+    domain = [ZERO, ONE]
+    stack = [(ZERO, ONE)]
+    while stack:
+        a, b = stack.pop()
+        if not acceptable(a, b):
+            m = (a + b) / 2
+            domain.append(m)
+            stack.append((a, m))
+            stack.append((m, b))
+    domain.sort()
+    return tuple(domain), tuple(ref_apply(breaks, t) for t in domain)
+
+
+def ref_key(breaks):
+    return ";".join(f"{format_number(a)}:{format_number(b)}" for a, b in breaks).encode(
+        "ascii"
+    )

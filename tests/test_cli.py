@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,20 @@ class TestSimpleCommands:
 
     def test_eval_bad_point(self, capsys):
         assert main(["eval", "x0", "9/8"]) == 2
+
+    def test_eval_caret_exponent_over_bound(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "thompsonf.cli", "eval", "x0", "1/2^4097"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "caret exponent above 4096" in result.stderr
 
     def test_compose(self, capsys):
         code, out = run(capsys, "compose", "x0", "x0^-1")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from thompsonf import arith, as_dyadic, format_number, midpoint, parse_coordinate, parse_number
 from thompsonf.errors import DivisionByZero, MalformedNumber, OutOfRange
+from thompsonf.exactnum import MAX_CARET_EXPONENT, format_dyadic
 
 rationals = st.fractions(min_value=-100, max_value=100)
 coordinates = st.fractions(min_value=0, max_value=1)
@@ -40,6 +41,24 @@ def test_parse_rejects_bad_syntax(bad):
         parse_number(bad)
 
 
+@pytest.mark.parametrize("bad", [0, 1, None, b"1/2", ["1/2"]])
+def test_parse_rejects_non_string_tokens(bad):
+    with pytest.raises(MalformedNumber):
+        parse_number(bad)
+
+
+def test_parse_caret_exponent_bound():
+    assert parse_number(f"1/2^{MAX_CARET_EXPONENT}") == Fraction(1, 2**MAX_CARET_EXPONENT)
+    assert parse_number(f"1/2^000{MAX_CARET_EXPONENT}").denominator.bit_length() == (
+        MAX_CARET_EXPONENT + 1
+    )
+    with pytest.raises(MalformedNumber, match="caret exponent above 4096"):
+        parse_number(f"1/2^{MAX_CARET_EXPONENT + 1}")
+    # far past the int() digit limit: refused by length, never parsed
+    with pytest.raises(MalformedNumber):
+        parse_number("1/2^" + "9" * 10_000)
+
+
 def test_parse_coordinate_range():
     assert parse_coordinate("1") == 1
     with pytest.raises(OutOfRange):
@@ -51,6 +70,12 @@ def test_parse_coordinate_range():
 @given(rationals)
 def test_format_parse_round_trip(x):
     assert parse_number(format_number(x)) == x
+
+
+@given(st.integers(min_value=0, max_value=80), st.integers(min_value=0, max_value=2**80))
+def test_format_dyadic_matches_format_number(e, n):
+    n %= (1 << e) + 1
+    assert format_dyadic(n, e) == format_number(Fraction(n, 2**e))
 
 
 def test_format_endpoints():

@@ -45,6 +45,10 @@ def pair_of(domain, codomain):
     )
 
 
+def slopes(f):
+    return tuple((b2 - b1) / (a2 - a1) for (a1, b1), (a2, b2) in zip(f.breaks, f.breaks[1:]))
+
+
 def word(names):
     out = identity()
     table = generator_table()
@@ -57,14 +61,14 @@ class TestConstruction:
     def test_from_pair_first_generator(self):
         f = from_pair(pair_of(["0", "1/2", "3/4", "1"], ["0", "1/4", "1/2", "1"]))
         assert f == X0
-        assert f._slopes == (F(1, 2), F(1), F(2))
+        assert slopes(f) == (F(1, 2), F(1), F(2))
 
     def test_from_pair_second_generator(self):
         f = from_pair(
             pair_of(["0", "1/2", "3/4", "7/8", "1"], ["0", "1/2", "5/8", "3/4", "1"])
         )
         assert f == X1
-        assert f._slopes == (F(1), F(1, 2), F(1), F(2))
+        assert slopes(f) == (F(1), F(1, 2), F(1), F(2))
 
     def test_from_pair_identity(self):
         assert from_pair(pair_of(["0", "1/2", "1"], ["0", "1/2", "1"])) == identity()
@@ -99,6 +103,20 @@ class TestConstruction:
         data = X1.to_json_dict()
         assert data["breaks"][0] == ["0", "0"]
         assert FElement.from_json_dict(data) == X1
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"breaks": [["0"], ["1", "1"]]},
+            {"breaks": [[0, 0], [1, 1]]},
+            {"breaks": [["0", "0", "0"], ["1", "1"]]},
+            {"breaks": ["00", "11"]},
+            {"breaks": 5},
+        ],
+    )
+    def test_json_malformed_breaks(self, data):
+        with pytest.raises(InvalidElement):
+            FElement.from_json_dict(data)
 
 
 class TestApply:
@@ -153,6 +171,15 @@ class TestGroupOps:
             for k in range(0, 65, 7):
                 t = F(k, 64)
                 assert h.apply(t) == g.apply(f.apply(t))
+
+    @pytest.mark.parametrize("k", range(-9, 10))
+    def test_power_is_repeated_composition(self, k):
+        f = compose(X1, invert(X0))
+        base = f if k >= 0 else invert(f)
+        expected = identity()
+        for _ in range(abs(k)):
+            expected = compose(expected, base)
+        assert f**k == expected
 
     def test_defining_relations(self):
         def comm(a, b):
