@@ -20,12 +20,8 @@ from .diagnostics import (
 )
 from .errors import ToolkitError
 from .exactnum import (
-    DyadicForm,
     ExactNumber,
-    arith,
-    as_dyadic,
     format_number,
-    midpoint,
     parse_coordinate,
     parse_number,
 )
@@ -35,7 +31,6 @@ from .felement import (
     PartitionPair,
     act_marked,
     act_partition,
-    canonical_key,
     compose,
     evaluate_word,
     f_of_partition,
@@ -72,13 +67,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactNumber",
-    "DyadicForm",
     "parse_number",
     "parse_coordinate",
     "format_number",
-    "as_dyadic",
-    "arith",
-    "midpoint",
     "MarkedSet",
     "DyadicPartition",
     "mesh",
@@ -99,7 +90,6 @@ __all__ = [
     "act_marked",
     "act_partition",
     "f_of_partition",
-    "canonical_key",
     "evaluate_word",
     "FolnerReport",
     "GeneratorDefect",

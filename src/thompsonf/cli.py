@@ -3,7 +3,9 @@
 Every command emits a single JSON document (sorted keys, two-space indent)
 to stdout or ``--output``; rationals appear as exact strings like "3/4" and
 no float is ever printed.  Given the same flags and input files the output
-is byte-identical, whatever the worker count.
+is byte-identical.  Every command runs serially; ``--workers`` on verify,
+reduce and ball is still accepted, and ignored, so older scripts keep
+working.
 
 Exit codes: 0 success or PASS, 1 failed property or certificate, 2 bad
 input, 3 violated precondition.
@@ -19,9 +21,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import diagnostics, verify
 from .errors import (
@@ -34,6 +35,7 @@ from .errors import (
 from .exactnum import format_number, parse_coordinate, parse_number
 from .felement import FElement, compose, generator_table, identity
 from .folner import (
+    MAX_Z_INDEX,
     defect_elements,
     defect_marked,
     family_to_lines,
@@ -50,22 +52,7 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 _WORD_TOKEN = re.compile(r"(x[01])(?:\^(-?\d+))?\Z")
-
-
-@dataclass
-class RunConfig:
-    """Everything a command run depends on; equal configs give equal bytes."""
-
-    seed: int = 1
-    cases: int = 1000
-    side: str = "left"
-    epsilon: Fraction | None = None
-    constant_c: Fraction = Fraction(2)
-    input: str | None = None
-    output: str | None = None
-    max_radius: int = 8
-    workers: int = 1
-    corrupt: bool = False
+_IGNORED_FLAG = "accepted and ignored; every command runs serially"
 
 
 def parse_word(text: str) -> FElement:
@@ -98,20 +85,18 @@ def _emit_lines(lines: list[str], output: str | None) -> None:
         Path(output).write_text(text, encoding="ascii")
 
 
-def _read_input(path: str | None) -> str:
-    if path is None:
-        raise MalformedInput("this command requires --input")
+def _read_input(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = verify.run_suites(cfg.seed, cfg.cases, cfg.workers, cfg.corrupt)
-    _emit(report, cfg.output)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = verify.run_suites(args.seed, args.cases, args.corrupt)
+    _emit(report, args.output)
     return EXIT_OK if report["all_passed"] else EXIT_FAIL
 
 
-def cmd_tof(cfg: RunConfig) -> int:
-    data = json.loads(_read_input(cfg.input))
+def cmd_tof(args: argparse.Namespace) -> int:
+    data = json.loads(_read_input(args.input))
     if not isinstance(data, list):
         raise MalformedInput("tof expects a JSON array of coordinate strings")
     X = MarkedSet.from_strings(data)
@@ -123,21 +108,20 @@ def cmd_tof(cfg: RunConfig) -> int:
             "mesh": format_number(mesh(T)),
             "is_standard": is_standard(T),
         },
-        cfg.output,
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
-    kind, members = load_family_text(_read_input(cfg.input))
+def cmd_reduce(args: argparse.Namespace) -> int:
+    epsilon = parse_number(args.epsilon)
+    kind, members = load_family_text(_read_input(args.input))
     if kind != "marked":
         raise MalformedInput("reduce expects a family of marked sets")
-    if cfg.epsilon is None:
-        raise MalformedInput("reduce requires --epsilon")
-    marked_report = defect_marked(members, side=cfg.side)
-    elements, reduction = reduce_to_f(members, workers=cfg.workers)
-    element_report = defect_elements(elements, side=cfg.side)
-    certificate = folner_certificate(marked_report, cfg.epsilon)
+    marked_report = defect_marked(members, side=args.side)
+    elements, reduction = reduce_to_f(members)
+    element_report = defect_elements(elements, side=args.side)
+    certificate = folner_certificate(marked_report, epsilon)
     _emit(
         {
             "marked_defect": marked_report.to_json_dict(),
@@ -145,61 +129,63 @@ def cmd_reduce(cfg: RunConfig) -> int:
             "element_defect": element_report.to_json_dict(),
             "certificate": certificate.to_json_dict(),
         },
-        cfg.output,
+        args.output,
     )
     return EXIT_OK if certificate.passed else EXIT_FAIL
 
 
-def cmd_defect(cfg: RunConfig) -> int:
-    kind, members = load_family_text(_read_input(cfg.input))
+def cmd_defect(args: argparse.Namespace) -> int:
+    kind, members = load_family_text(_read_input(args.input))
     if kind == "marked":
-        report = defect_marked(members, side=cfg.side)
+        report = defect_marked(members, side=args.side)
     else:
-        report = defect_elements(members, side=cfg.side)
-    _emit({"kind": kind, "report": report.to_json_dict()}, cfg.output)
+        report = defect_elements(members, side=args.side)
+    _emit({"kind": kind, "report": report.to_json_dict()}, args.output)
     return EXIT_OK
 
 
-def cmd_zfamily(cfg: RunConfig, indices: list[int], count: int | None) -> int:
+def cmd_zfamily(args: argparse.Namespace) -> int:
+    indices, count = args.indices, args.count
     if count is not None:
         if count <= 0:
             raise OutOfRange("--count must be positive")
-        indices = list(range(count))
+        if count > MAX_Z_INDEX + 1:
+            raise OutOfRange(f"--count must be at most {MAX_Z_INDEX + 1}")
+        indices = range(count)
     if not indices:
         raise EmptyFamily("give indices or --count")
     family = z_family(indices)
-    _emit_lines(family_to_lines(family), cfg.output)
+    _emit_lines(family_to_lines(family), args.output)
     return EXIT_OK
 
 
-def cmd_ball(cfg: RunConfig, radius: int, full: bool, with_defect: bool) -> int:
-    elements = diagnostics.ball(radius, cfg.max_radius, cfg.workers)
-    doc: dict = {"radius": radius, "size": len(elements)}
-    if full:
+def cmd_ball(args: argparse.Namespace) -> int:
+    constant_c = parse_number(args.constant_c)
+    elements = diagnostics.ball(args.radius, args.max_radius)
+    doc: dict = {"radius": args.radius, "size": len(elements)}
+    if args.full:
         ordered = sorted(elements, key=lambda f: f.canonical_key)
         doc["elements"] = [f.to_json_dict() for f in ordered]
-    if with_defect:
-        report = defect_elements(elements, side=cfg.side)
+    if args.defect:
+        report = defect_elements(elements, side=args.side)
         doc["defect_report"] = report.to_json_dict()
         # the growth bound only asserts that some constant works; the one
         # used here is always stated, defaulted or not
-        verdict = diagnostics.tower_check(
-            len(elements), report.max_defect, cfg.constant_c
-        )
+        verdict = diagnostics.tower_check(len(elements), report.max_defect, constant_c)
         doc["tower_check"] = verdict.to_json_dict()
-        doc["tower_check"]["constant_c"] = format_number(cfg.constant_c)
-    _emit(doc, cfg.output)
+        doc["tower_check"]["constant_c"] = format_number(constant_c)
+    _emit(doc, args.output)
     return EXIT_OK
 
 
-def cmd_tower(cfg: RunConfig, n: int) -> int:
-    _emit({"n": n, "value": str(diagnostics.tower(n))}, cfg.output)
+def cmd_tower(args: argparse.Namespace) -> int:
+    _emit({"n": args.n, "value": str(diagnostics.tower(args.n))}, args.output)
     return EXIT_OK
 
 
-def cmd_measure_mono(cfg: RunConfig, measure_path: str, chain_path: str) -> int:
-    measure_data = json.loads(Path(measure_path).read_text(encoding="utf-8"))
-    chain_data = json.loads(Path(chain_path).read_text(encoding="utf-8"))
+def cmd_measure_mono(args: argparse.Namespace) -> int:
+    measure_data = json.loads(Path(args.measure).read_text(encoding="utf-8"))
+    chain_data = json.loads(Path(args.chain).read_text(encoding="utf-8"))
     mu = diagnostics.FiniteMeasure.from_json_list(measure_data)
     chain = diagnostics.IntervalChain.from_json_list(chain_data)
     mass = diagnostics.monotonicity_mass(mu, chain)
@@ -209,24 +195,24 @@ def cmd_measure_mono(cfg: RunConfig, measure_path: str, chain_path: str) -> int:
             "chain_length": len(chain.intervals),
             "monotone_mass": format_number(mass),
         },
-        cfg.output,
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig, word: str, point: str) -> int:
-    f = parse_word(word)
-    t = parse_coordinate(point)
+def cmd_eval(args: argparse.Namespace) -> int:
+    f = parse_word(args.word)
+    t = parse_coordinate(args.point)
     _emit(
-        {"word": word, "point": format_number(t), "image": format_number(f.apply(t))},
-        cfg.output,
+        {"word": args.word, "point": format_number(t), "image": format_number(f.apply(t))},
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_compose(cfg: RunConfig, words: list[str]) -> int:
-    f = parse_word(" ".join(words))
-    _emit(f.to_json_dict(), cfg.output)
+def cmd_compose(args: argparse.Namespace) -> int:
+    f = parse_word(" ".join(args.words))
+    _emit(f.to_json_dict(), args.output)
     return EXIT_OK
 
 
@@ -238,41 +224,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(
+        name: str, handler: Callable[[argparse.Namespace], int], summary: str
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--output", help="write the JSON document here instead of stdout")
+        return p
 
-    p = sub.add_parser("verify", help="run the seeded property suites")
+    p = command("verify", cmd_verify, "run the seeded property suites")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--cases", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_IGNORED_FLAG)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    common(p)
 
-    p = sub.add_parser("tof", help="maximal standard partition of a marked set")
+    p = command("tof", cmd_tof, "maximal standard partition of a marked set")
     p.add_argument("--input", required=True)
-    common(p)
 
-    p = sub.add_parser("reduce", help="mesh check, audits and reduction pipeline")
+    p = command("reduce", cmd_reduce, "mesh check, audits and reduction pipeline")
     p.add_argument("--input", required=True)
     p.add_argument("--epsilon", required=True, help="strict defect target, e.g. 1/8")
     p.add_argument("--side", choices=("left", "right"), default="left")
-    p.add_argument("--workers", type=int, default=1)
-    common(p)
+    p.add_argument("--workers", type=int, default=1, help=_IGNORED_FLAG)
 
-    p = sub.add_parser("defect", help="symmetric-difference audit of a family file")
+    p = command("defect", cmd_defect, "symmetric-difference audit of a family file")
     p.add_argument("--input", required=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
-    common(p)
 
-    p = sub.add_parser("zfamily", help="three-point families indexed by integers")
+    p = command("zfamily", cmd_zfamily, "three-point families indexed by integers")
     p.add_argument("indices", type=int, nargs="*")
     p.add_argument("--count", type=int, help="use indices 0..count-1")
-    common(p)
 
-    p = sub.add_parser("ball", help="breadth-first ball in the generators")
+    p = command("ball", cmd_ball, "breadth-first ball in the generators")
     p.add_argument("radius", type=int)
     p.add_argument("--max-radius", type=int, default=8)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_IGNORED_FLAG)
     p.add_argument("--full", action="store_true", help="list the elements")
     p.add_argument(
         "--defect",
@@ -286,70 +272,28 @@ def build_parser() -> argparse.ArgumentParser:
         "which is a choice, not a theorem",
     )
     p.add_argument("--side", choices=("left", "right"), default="left")
-    common(p)
 
-    p = sub.add_parser("tower", help="iterated exponential lower bound")
+    p = command("tower", cmd_tower, "iterated exponential lower bound")
     p.add_argument("n", type=int)
-    common(p)
 
-    p = sub.add_parser("measure-mono", help="monotone-count mass of a measure")
+    p = command("measure-mono", cmd_measure_mono, "monotone-count mass of a measure")
     p.add_argument("--measure", required=True)
     p.add_argument("--chain", required=True)
-    common(p)
 
-    p = sub.add_parser("eval", help="apply a word in the generators to a point")
+    p = command("eval", cmd_eval, "apply a word in the generators to a point")
     p.add_argument("word")
     p.add_argument("point")
-    common(p)
 
-    p = sub.add_parser("compose", help="canonical form of a product of words")
+    p = command("compose", cmd_compose, "canonical form of a product of words")
     p.add_argument("words", nargs="+")
-    common(p)
 
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        seed=getattr(args, "seed", 1),
-        cases=getattr(args, "cases", 1000),
-        side=getattr(args, "side", "left"),
-        epsilon=parse_number(args.epsilon) if getattr(args, "epsilon", None) else None,
-        constant_c=parse_number(getattr(args, "constant_c", None) or "2"),
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        max_radius=getattr(args, "max_radius", 8),
-        workers=getattr(args, "workers", 1),
-        corrupt=getattr(args, "corrupt", False),
-    )
-    command = args.command
-    if command == "verify":
-        return cmd_verify(cfg)
-    if command == "tof":
-        return cmd_tof(cfg)
-    if command == "reduce":
-        return cmd_reduce(cfg)
-    if command == "defect":
-        return cmd_defect(cfg)
-    if command == "zfamily":
-        return cmd_zfamily(cfg, args.indices, args.count)
-    if command == "ball":
-        return cmd_ball(cfg, args.radius, args.full, args.defect)
-    if command == "tower":
-        return cmd_tower(cfg, args.n)
-    if command == "measure-mono":
-        return cmd_measure_mono(cfg, args.measure, args.chain)
-    if command == "eval":
-        return cmd_eval(cfg, args.word, args.point)
-    if command == "compose":
-        return cmd_compose(cfg, args.words)
-    raise AssertionError(f"unhandled command {command}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except PRECONDITION_ERRORS as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -17,13 +17,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from ._concurrency import ordered_map
 from .errors import (
     DomainNotContained,
     InvalidChain,
     InvalidMeasure,
+    MalformedInput,
     OutOfRange,
     RadiusTooLarge,
     TowerTooTall,
@@ -113,7 +113,16 @@ class FiniteMeasure:
             raise InvalidMeasure("weights must sum to 1 exactly")
 
     @classmethod
-    def from_json_list(cls, data: Iterable[Mapping]) -> "FiniteMeasure":
+    def from_json_list(cls, data: object) -> "FiniteMeasure":
+        if not isinstance(data, list) or not all(
+            isinstance(item, dict)
+            and isinstance(item.get("partition"), list)
+            and "weight" in item
+            for item in data
+        ):
+            raise MalformedInput(
+                "a measure must be an array of {partition, weight} objects"
+            )
         return cls(
             tuple(
                 (
@@ -153,7 +162,11 @@ class IntervalChain:
             raise InvalidChain("chain must stay strictly below 1")
 
     @classmethod
-    def from_json_list(cls, data: Iterable[Sequence[str]]) -> "IntervalChain":
+    def from_json_list(cls, data: object) -> "IntervalChain":
+        if not isinstance(data, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in data
+        ):
+            raise MalformedInput("a chain must be an array of [lo, hi] pairs")
         return cls(
             tuple((parse_coordinate(lo), parse_coordinate(hi)) for lo, hi in data)
         )
@@ -209,12 +222,12 @@ def invariance_defect(mu: FiniteMeasure, g: FElement) -> Fraction:
 
 
 def ball_with_witnesses(
-    r: int, max_radius: int = DEFAULT_MAX_RADIUS, workers: int = 1
+    r: int, max_radius: int = DEFAULT_MAX_RADIUS
 ) -> dict[FElement, tuple[str, ...]]:
     """Breadth-first ball of radius r with a shortest witness word per element.
 
-    Deterministic regardless of worker count: products within a level are
-    computed in a fixed order and deduplicated sequentially.
+    Deterministic: each level multiplies its frontier by the generators in
+    a fixed order, so every element keeps the first word that reached it.
     """
     if r < 0:
         raise OutOfRange("radius must be non-negative")
@@ -224,20 +237,16 @@ def ball_with_witnesses(
     seen: dict[FElement, tuple[str, ...]] = {identity(): ()}
     frontier: list[FElement] = [identity()]
     for _ in range(r):
-        tasks = [(elem, name) for elem in frontier for name in GENERATOR_NAMES]
-        products = ordered_map(
-            lambda task: compose(task[0], table[task[1]]), tasks, workers
-        )
-        frontier = []
-        for (elem, name), product in zip(tasks, products):
-            if product not in seen:
-                seen[product] = seen[elem] + (name,)
-                frontier.append(product)
+        level, frontier = frontier, []
+        for elem in level:
+            for name in GENERATOR_NAMES:
+                product = compose(elem, table[name])
+                if product not in seen:
+                    seen[product] = seen[elem] + (name,)
+                    frontier.append(product)
     return seen
 
 
-def ball(
-    r: int, max_radius: int = DEFAULT_MAX_RADIUS, workers: int = 1
-) -> frozenset[FElement]:
+def ball(r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> frozenset[FElement]:
     """All elements expressible as words of length <= r in the generators."""
-    return frozenset(ball_with_witnesses(r, max_radius, workers))
+    return frozenset(ball_with_witnesses(r, max_radius))

@@ -18,10 +18,6 @@ class OutOfRange(ToolkitError):
     """A value lies outside the range its context requires."""
 
 
-class DivisionByZero(ToolkitError):
-    """Exact division by zero."""
-
-
 class InvalidMarkedSet(ToolkitError):
     """A point set is not a finite subset of [0,1] containing 0 and 1."""
 

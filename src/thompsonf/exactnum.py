@@ -1,50 +1,44 @@
-"""Exact rational coordinates with a checked dyadic view.
+"""Exact rational coordinates: parsing and serialization.
 
 Every coordinate in this package is an arbitrary-precision rational kept in
 lowest terms; nothing in the core ever touches floating point.  Coordinates
 cross the package boundary as :class:`fractions.Fraction` (aliased
-``ExactNumber``); the dyadic representation p/2^q is a view obtained
-through :func:`as_dyadic`, since the group maps rationals to rationals and
-marked sets may legitimately contain non-dyadic points.  Group elements,
-whose coordinates are all dyadic, store them internally as integers over a
-common power of two and serialize them with :func:`format_dyadic`.
+``ExactNumber``), since the group maps rationals to rationals and marked
+sets may legitimately contain non-dyadic points such as 1/3.  Group
+elements, whose coordinates are all dyadic, store them internally as
+integers over a common power of two and serialize them with
+:func:`format_dyadic`.
 
 Serialization is the string ``"p/q"`` in lowest terms, with bare integers for
 whole values (``"0"``, ``"1"``).  The accepted input grammar is
-``INT | INT "/" INT | INT "/2^" INT`` with no whitespace inside a token and
-a caret exponent of at most :data:`MAX_CARET_EXPONENT`.
+``INT | INT "/" INT | INT "/2^" INT`` with no whitespace inside a token, at
+most :data:`MAX_NUMBER_DIGITS` digits in the integer part and in a plain
+denominator, and a caret exponent of at most :data:`MAX_CARET_EXPONENT`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import DivisionByZero, MalformedNumber, OutOfRange
+from .errors import MalformedNumber, OutOfRange
 
 ExactNumber = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 # Largest q accepted in "p/2^q": far above any depth the toolkit meets, and
 # refused before 2**q is built.
 MAX_CARET_EXPONENT = 4096
 
+# Most digits accepted in an integer part or a plain denominator: Python's
+# default int-conversion limit, checked here so that a longer token is a
+# MalformedNumber whatever that limit is set to.  2**MAX_CARET_EXPONENT has
+# 1234 digits, so every value the caret form reaches prints back within it.
+MAX_NUMBER_DIGITS = 4300
+
 _NUMBER_RE = re.compile(r"(-?\d+)(?:/(?:2\^(\d+)|([1-9]\d*)))?\Z")
-
-
-class DyadicForm(NamedTuple):
-    """Canonical ``p / 2**q`` with q = 0 or p odd (and p = 0 forcing q = 0)."""
-
-    p: int
-    q: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, 2**self.q)
 
 
 def parse_number(text: str) -> Fraction:
@@ -52,7 +46,9 @@ def parse_number(text: str) -> Fraction:
 
     The result is in lowest terms.  Raises :class:`MalformedNumber` on
     anything outside the grammar, including a non-string token, a zero
-    denominator and a caret exponent above :data:`MAX_CARET_EXPONENT`.
+    denominator, an integer part or plain denominator longer than
+    :data:`MAX_NUMBER_DIGITS` and a caret exponent above
+    :data:`MAX_CARET_EXPONENT`.
     """
     if not isinstance(text, str):
         raise MalformedNumber(f"not a number token: {text!r}")
@@ -60,6 +56,9 @@ def parse_number(text: str) -> Fraction:
     if m is None:
         raise MalformedNumber(f"not a number token: {text!r}")
     whole, caret_exp, denom = m.groups()
+    # digit counts are compared before int(), which has its own limit
+    if max(len(whole.lstrip("-")), len(denom or "")) > MAX_NUMBER_DIGITS:
+        raise MalformedNumber(f"more than {MAX_NUMBER_DIGITS} digits in {text[:40]!r}")
     if caret_exp is not None:
         # the digit count is compared first, so a huge exponent is never parsed
         q = caret_exp.lstrip("0") or "0"
@@ -101,52 +100,3 @@ def format_dyadic(n: int, e: int) -> str:
 def is_power_of_two(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
-
-def as_dyadic(x: Fraction) -> DyadicForm | None:
-    """Return the canonical (p, q) with x = p/2^q, or None if x is not dyadic.
-
-    A None result is an ordinary signal, not a failure.  Requires
-    0 <= x <= 1 (coordinates are the only dyadic context).
-    """
-    if not ZERO <= x <= ONE:
-        raise OutOfRange(f"as_dyadic expects a coordinate in [0,1], got {x}")
-    if not is_power_of_two(x.denominator):
-        return None
-    # Fraction keeps lowest terms, so p is odd unless q = 0; 0 -> (0, 0).
-    return DyadicForm(x.numerator, x.denominator.bit_length() - 1)
-
-
-def midpoint(a: Fraction, b: Fraction) -> Fraction:
-    return (a + b) / 2
-
-
-_ARITH_OPS = frozenset(
-    {"add", "sub", "mul", "div", "min", "max", "midpoint", "compare"}
-)
-
-
-def arith(a: Fraction, b: Fraction, op: str) -> Fraction | int:
-    """Exact binary arithmetic dispatch.
-
-    ``compare`` returns -1, 0 or 1; every other op returns a Fraction in
-    lowest terms.  ``div`` by zero raises :class:`DivisionByZero`.
-    """
-    if op not in _ARITH_OPS:
-        raise ValueError(f"unknown op {op!r}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DivisionByZero("exact division by zero")
-        return a / b
-    if op == "min":
-        return min(a, b)
-    if op == "max":
-        return max(a, b)
-    if op == "midpoint":
-        return midpoint(a, b)
-    return (a > b) - (a < b)

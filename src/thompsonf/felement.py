@@ -42,6 +42,7 @@ from .errors import (
     CardinalityMismatch,
     DomainNotContained,
     InvalidElement,
+    MalformedInput,
     OutOfRange,
     TooFewPoints,
 )
@@ -273,6 +274,10 @@ class PartitionPair:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PartitionPair":
+        if not isinstance(data, dict) or not all(
+            isinstance(data.get(key), list) for key in ("domain", "range")
+        ):
+            raise MalformedInput("a partition pair needs 'domain' and 'range' arrays")
         return cls(
             DyadicPartition.from_strings(data["domain"]),
             DyadicPartition.from_strings(data["range"]),
@@ -447,13 +452,14 @@ def f_of_partition(T: DyadicPartition) -> FElement:
     return from_pair(PartitionPair(i_n(len(T) - 3), T))
 
 
-def canonical_key(f: FElement) -> bytes:
-    return f.canonical_key
+def evaluate_word(
+    names: Iterable[str], gens: Mapping[str, FElement] | None = None
+) -> FElement:
+    """Product of named generators, left to right (rightmost applied first).
 
-
-def evaluate_word(names: Iterable[str]) -> FElement:
-    """Product of named generators, left to right (rightmost applied first)."""
-    table = generator_table()
+    Names are looked up in ``gens``, by default the generator table.
+    """
+    table = generator_table() if gens is None else gens
     try:
         elems = [table[name] for name in names]
     except KeyError as exc:

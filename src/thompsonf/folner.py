@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from ._concurrency import ordered_map
 from .errors import EmptyFamily, MalformedInput, MeshTooLarge, OutOfRange
-from .exactnum import ONE, ZERO, format_number
+from .exactnum import MAX_CARET_EXPONENT, ONE, ZERO, format_number
 from .felement import (
     FElement,
     Side,
@@ -41,6 +40,9 @@ from .partition import MarkedSet, mesh, t_of
 
 MESH_BOUND = Fraction(1, 16)
 POST_ACTION_MESH_BOUND = Fraction(1, 8)
+# Largest z_family index: its member 1 - 2^-(n+2) must parse back, so
+# n + 2 stays within the caret-exponent bound.
+MAX_Z_INDEX = MAX_CARET_EXPONENT - 2
 
 ElementSet = frozenset[FElement]
 MarkedFamily = frozenset[MarkedSet]
@@ -175,12 +177,18 @@ def defect_marked(
 
 
 def z_family(A: Iterable[int]) -> MarkedFamily:
-    """The three-point family {0, 1 - 2^-(n+2), 1} for each n in A."""
+    """The three-point family {0, 1 - 2^-(n+2), 1} for each n in A.
+
+    Indices run from 0 to :data:`MAX_Z_INDEX`, so every member written out
+    can be read back.
+    """
     indices = set(A)
     if not indices:
         raise EmptyFamily("z_family needs at least one index")
     if any(n < 0 for n in indices):
         raise OutOfRange("z_family indices must be non-negative")
+    if any(n > MAX_Z_INDEX for n in indices):
+        raise OutOfRange(f"z_family indices must be at most {MAX_Z_INDEX}")
     return frozenset(
         MarkedSet((ZERO, ONE - Fraction(1, 2 ** (n + 2)), ONE)) for n in indices
     )
@@ -196,7 +204,6 @@ def mesh_max(Z: Iterable[MarkedSet]) -> Fraction:
 def reduce_to_f(
     Z: Iterable[MarkedSet],
     gens: Mapping[str, FElement] | None = None,
-    workers: int = 1,
 ) -> tuple[ElementSet, ReductionReport]:
     """Map a mesh-bounded marked family to elements via X -> f_{T(X)}.
 
@@ -216,15 +223,15 @@ def reduce_to_f(
             f"{format_number(MESH_BOUND)}"
         )
 
-    reduced = ordered_map(lambda X: f_of_partition(t_of(X)), family, workers)
+    reduced = [f_of_partition(t_of(X)) for X in family]
     elements = frozenset(reduced)
 
     checks = []
     mesh_after = ZERO
     for name, g in _named_generators(gens):
-        moved = ordered_map(lambda X: act_marked(g, X), family, workers)
+        moved = [act_marked(g, X) for X in family]
         mesh_after = max(mesh_after, max(mesh(Y) for Y in moved))
-        lhs = frozenset(ordered_map(lambda Y: f_of_partition(t_of(Y)), moved, workers))
+        lhs = frozenset(f_of_partition(t_of(Y)) for Y in moved)
         rhs = frozenset(compose(g, fe) for fe in reduced)
         checks.append((name, lhs == rhs))
     if mesh_after > POST_ACTION_MESH_BOUND:

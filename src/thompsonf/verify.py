@@ -2,9 +2,8 @@
 
 Each suite draws its cases from one ``random.Random(seed)`` stream, records
 the number of failures, and keeps the first counterexample in fully
-serialized form.  Case inputs are generated up front and evaluated through
-an order-preserving map, so reports are byte-identical for any worker
-count.
+serialized form.  Case inputs are generated up front and checked in order,
+so the same seed and case count give a byte-identical report.
 
 Random marked sets follow a fixed recipe, documented in the CLI help: the
 uniform 1/16 grid plus up to sixteen extra dyadics p/2^q with q <= 10.
@@ -17,9 +16,8 @@ import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._concurrency import ordered_map
 from .errors import ToolkitError
-from .exactnum import ONE, ZERO, format_number
+from .exactnum import ONE, ZERO
 from .felement import (
     GENERATOR_NAMES,
     FElement,
@@ -27,6 +25,7 @@ from .felement import (
     act_marked,
     act_partition,
     compose,
+    evaluate_word,
     f_of_partition,
     from_pair,
     generator_table,
@@ -190,49 +189,44 @@ def _suite_defining_relations(table: dict[str, FElement]) -> _Suite:
     return suite
 
 
-def _suite_pair_roundtrip(rng: random.Random, cases: int, workers: int) -> _Suite:
+def _suite_pair_roundtrip(rng: random.Random, cases: int) -> _Suite:
     suite = _Suite("pair_roundtrip")
     pairs = [random_pair(rng) for _ in range(cases)]
 
+    @_safe
     def check(pair: PartitionPair) -> bool:
         f = from_pair(pair)
         return from_pair(to_minimal_pair(f)) == f
 
-    for pair, ok in zip(pairs, ordered_map(_safe(check), pairs, workers)):
-        suite.record(ok, lambda pair=pair: {"pair": pair.to_json_dict()})
+    for pair in pairs:
+        suite.record(check(pair), lambda pair=pair: {"pair": pair.to_json_dict()})
     return suite
 
 
 def _suite_group_axioms(
-    rng: random.Random, table: dict[str, FElement], cases: int, workers: int
+    rng: random.Random, table: dict[str, FElement], cases: int
 ) -> _Suite:
     suite = _Suite("group_axioms")
     words = [tuple(random_word(rng) for _ in range(3)) for _ in range(cases)]
 
+    @_safe
     def check(triple: tuple[list[str], ...]) -> bool:
-        a, b, c = (evaluate(table, w) for w in triple)
+        a, b, c = (evaluate_word(w, table) for w in triple)
         assoc = compose(compose(a, b), c) == compose(a, compose(b, c))
         inv = compose(a, invert(a)) == identity() == compose(invert(a), a)
         ident = compose(a, identity()) == a == compose(identity(), a)
         return assoc and inv and ident
 
-    for triple, ok in zip(words, ordered_map(_safe(check), words, workers)):
+    for triple in words:
         suite.record(
-            ok,
+            check(triple),
             lambda triple=triple: {"words": [_word_witness(w) for w in triple]},
         )
     return suite
 
 
-def evaluate(table: dict[str, FElement], word: Sequence[str]) -> FElement:
-    out = identity()
-    for name in word:
-        out = compose(out, table[name])
-    return out
-
-
 def _suite_action_composition(
-    rng: random.Random, table: dict[str, FElement], cases: int, workers: int
+    rng: random.Random, table: dict[str, FElement], cases: int
 ) -> _Suite:
     suite = _Suite("partition_action_composition")
     inputs = []
@@ -242,63 +236,65 @@ def _suite_action_composition(
         T = random_refinement(rng, to_minimal_pair(g).domain, 24)
         inputs.append((name, g, T))
 
-    def check(item: tuple[str, FElement, DyadicPartition]) -> bool:
-        _, g, T = item
+    @_safe
+    def check(g: FElement, T: DyadicPartition) -> bool:
         image = act_partition(g, T)
         return is_standard(image) and compose(g, f_of_partition(T)) == f_of_partition(
             image
         )
 
-    for (name, _, T), ok in zip(inputs, ordered_map(_safe(check), inputs, workers)):
+    for name, g, T in inputs:
         suite.record(
-            ok, lambda name=name, T=T: {"generator": name, "partition": T.to_strings()}
+            check(g, T),
+            lambda name=name, T=T: {"generator": name, "partition": T.to_strings()},
         )
     return suite
 
 
 def _suite_action_commutes(
-    rng: random.Random, table: dict[str, FElement], cases: int, workers: int
+    rng: random.Random, table: dict[str, FElement], cases: int
 ) -> _Suite:
     suite = _Suite("action_commutes_with_max_partition")
     inputs = [
         (rng.choice(GENERATOR_NAMES), random_mesh_set(rng)) for _ in range(cases)
     ]
 
-    def check(item: tuple[str, MarkedSet]) -> bool:
-        g = table[item[0]]
-        X = item[1]
+    @_safe
+    def check(g: FElement, X: MarkedSet) -> bool:
         return act_partition(g, t_of(X)) == t_of(act_marked(g, X))
 
-    for (name, X), ok in zip(inputs, ordered_map(_safe(check), inputs, workers)):
+    for name, X in inputs:
         suite.record(
-            ok, lambda name=name, X=X: {"generator": name, "marked_set": X.to_strings()}
+            check(table[name], X),
+            lambda name=name, X=X: {"generator": name, "marked_set": X.to_strings()},
         )
     return suite
 
 
-def _suite_mesh_bound(rng: random.Random, cases: int, workers: int) -> _Suite:
+def _suite_mesh_bound(rng: random.Random, cases: int) -> _Suite:
     suite = _Suite("max_partition_mesh_bound")
     inputs = [random_mesh_set(rng) for _ in range(cases)]
     required = i_n(2)
 
+    @_safe
     def check(X: MarkedSet) -> bool:
         T = t_of(X)
         return mesh(T) <= Fraction(1, 8) and required.issubset(T)
 
-    for X, ok in zip(inputs, ordered_map(_safe(check), inputs, workers)):
-        suite.record(ok, lambda X=X: {"marked_set": X.to_strings()})
+    for X in inputs:
+        suite.record(check(X), lambda X=X: {"marked_set": X.to_strings()})
     return suite
 
 
 def _suite_family_reduction(
-    rng: random.Random, table: dict[str, FElement], cases: int, workers: int
+    rng: random.Random, table: dict[str, FElement], cases: int
 ) -> _Suite:
     suite = _Suite("family_reduction_identity")
     families = [random_family(rng) for _ in range(cases)]
 
     def check(Z: frozenset[MarkedSet]) -> tuple[bool, str]:
         try:
-            elements, report = reduce_to_f(Z, gens=table, workers=1)
+            elements, report = reduce_to_f(Z, gens=table)
         except ToolkitError as exc:
             return False, str(exc)
         if not all(ok for _, ok in report.identity_checks):
@@ -310,8 +306,8 @@ def _suite_family_reduction(
             return False, "defect bound"
         return True, ""
 
-    results = ordered_map(check, families, workers)
-    for Z, (ok, reason) in zip(families, results):
+    for Z in families:
+        ok, reason = check(Z)
         suite.record(
             ok,
             lambda Z=Z, reason=reason: {
@@ -322,9 +318,7 @@ def _suite_family_reduction(
     return suite
 
 
-def run_suites(
-    seed: int, cases: int, workers: int = 1, corrupt: bool = False
-) -> dict:
+def run_suites(seed: int, cases: int, corrupt: bool = False) -> dict:
     """Run every suite and return the deterministic report document."""
     rng = random.Random(seed)
     table = _corrupted_table() if corrupt else dict(generator_table())
@@ -333,15 +327,15 @@ def run_suites(
     suites = [
         _suite_generator_sanity(table),
         _suite_defining_relations(table),
-        _suite_pair_roundtrip(rng, cases, workers),
-        _suite_group_axioms(rng, table, cases, workers),
-        _suite_action_composition(rng, table, cases, workers),
-        _suite_action_commutes(rng, table, cases, workers),
-        _suite_mesh_bound(rng, cases, workers),
-        _suite_family_reduction(rng, table, family_cases, workers),
+        _suite_pair_roundtrip(rng, cases),
+        _suite_group_axioms(rng, table, cases),
+        _suite_action_composition(rng, table, cases),
+        _suite_action_commutes(rng, table, cases),
+        _suite_mesh_bound(rng, cases),
+        _suite_family_reduction(rng, table, family_cases),
     ]
-    # the worker count is an execution detail: parallel and serial runs
-    # must emit identical bytes
+    # the report holds no timing or host detail, so equal arguments give
+    # equal bytes
     return {
         "config": {"seed": seed, "cases": cases, "corrupt": corrupt},
         "suites": [s.to_json_dict() for s in suites],

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from thompsonf import MarkedSet, z_family
+from thompsonf import FiniteMeasure, IntervalChain, MarkedSet, PartitionPair, z_family
 from thompsonf.cli import main, parse_word
-from thompsonf.errors import MalformedInput
-from thompsonf.folner import family_to_lines
+from thompsonf.errors import MalformedInput, MalformedNumber, OutOfRange
+from thompsonf.exactnum import MAX_NUMBER_DIGITS
+from thompsonf.folner import MAX_Z_INDEX, family_to_lines
 
 F = Fraction
 
@@ -19,6 +20,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_module(*argv, env_extra=None, stdin=None):
+    """Run ``python -m thompsonf.cli`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, **(env_extra or {}))
+    return subprocess.run(
+        [sys.executable, "-m", "thompsonf.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        input=stdin,
+        timeout=60,
+    )
 
 
 def write_family(path, family):
@@ -76,6 +91,16 @@ class TestSimpleCommands:
         assert result.stdout == ""
         assert "caret exponent above 4096" in result.stderr
 
+    @pytest.mark.parametrize("make", [lambda n: "0" * n, lambda n: "1/" + "3" * n])
+    def test_eval_digit_bound(self, make):
+        assert run_module("eval", "x0", make(MAX_NUMBER_DIGITS)).returncode == 0
+        # the refusal holds with Python's own digit limit switched off
+        for env_extra in (None, {"PYTHONINTMAXSTRDIGITS": "0"}):
+            token = make(MAX_NUMBER_DIGITS + 1)
+            result = run_module("eval", "x0", token, env_extra=env_extra)
+            assert result.returncode == 2
+            assert f"more than {MAX_NUMBER_DIGITS} digits" in result.stderr
+
     def test_compose(self, capsys):
         code, out = run(capsys, "compose", "x0", "x0^-1")
         assert code == 0
@@ -109,6 +134,25 @@ class TestSimpleCommands:
 
     def test_zfamily_without_indices(self, capsys):
         assert main(["zfamily"]) == 2
+
+    def test_zfamily_huge_count_refused_before_building(self, capsys):
+        assert main(["zfamily", "--count", "1000000000000"]) == 2
+        assert f"--count must be at most {MAX_Z_INDEX + 1}" in capsys.readouterr().err
+
+    def test_zfamily_index_bound(self, capsys):
+        assert main(["zfamily", str(MAX_Z_INDEX + 1)]) == 2
+        assert f"indices must be at most {MAX_Z_INDEX}" in capsys.readouterr().err
+        with pytest.raises(OutOfRange):
+            z_family([MAX_Z_INDEX + 1])
+
+    def test_zfamily_largest_index_reads_back(self, tmp_path):
+        written = run_module("zfamily", str(MAX_Z_INDEX))
+        assert written.returncode == 0
+        family = tmp_path / "z.jsonl"
+        family.write_text(written.stdout, encoding="ascii")
+        audited = run_module("defect", "--input", str(family))
+        assert audited.returncode == 0, audited.stderr
+        assert json.loads(audited.stdout)["report"]["family_size"] == 1
 
 
 class TestBallDefect:
@@ -302,6 +346,44 @@ class TestMeasureMono:
         )
         chain.write_text(json.dumps([["1/4", "3/8"], ["5/8", "7/8"]]), encoding="ascii")
         assert main(["measure-mono", "--measure", str(measure), "--chain", str(chain)]) == 2
+
+    @pytest.mark.parametrize(
+        "role,data,error,message",
+        [
+            ("measure", [{"weight": "1"}], MalformedInput, "a measure must be"),
+            ("measure", ["0"], MalformedInput, "a measure must be"),
+            ("measure", [["0", "1"]], MalformedInput, "a measure must be"),
+            ("measure", {"partition": ["0", "1"]}, MalformedInput, "a measure must be"),
+            ("measure", [{"partition": "01", "weight": "1"}], MalformedInput, "a measure"),
+            ("measure", [{"partition": ["0", "1"], "weight": 1}], MalformedNumber, "number"),
+            ("chain", [["1/4"], ["5/8", "7/8"]], MalformedInput, "a chain must be"),
+            ("chain", [["1/8", "1/4", "3/8"]], MalformedInput, "a chain must be"),
+            ("chain", ["14", "58"], MalformedInput, "a chain must be"),
+            ("chain", 7, MalformedInput, "a chain must be"),
+            ("pair", {"domain": ["0", "1"]}, MalformedInput, None),
+            ("pair", [["0", "1"], ["0", "1"]], MalformedInput, None),
+        ],
+    )
+    def test_malformed_input_is_typed(self, role, data, error, message, tmp_path, capsys):
+        parse = {
+            "measure": FiniteMeasure.from_json_list,
+            "chain": IntervalChain.from_json_list,
+            "pair": PartitionPair.from_json_dict,
+        }[role]
+        with pytest.raises(error):
+            parse(data)
+        if message is None:  # no command reads a bare partition pair
+            return
+        files = {
+            "measure": [{"partition": ["0", "1/2", "1"], "weight": "1"}],
+            "chain": [["1/4", "3/8"], ["5/8", "7/8"]],
+        }
+        files[role] = data
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content), encoding="ascii")
+        argv = ["--measure", str(tmp_path / "measure"), "--chain", str(tmp_path / "chain")]
+        assert main(["measure-mono", *argv]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestVerifyCommand:

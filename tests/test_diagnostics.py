@@ -227,9 +227,6 @@ class TestBall:
         with pytest.raises(OutOfRange):
             ball(-1)
 
-    def test_workers_do_not_change_the_ball(self):
-        assert ball(3, workers=3) == ball(3)
-
     def test_ball_defect_feeds_tower_check(self):
         B = ball(3)
         report = defect_elements(B)

@@ -1,16 +1,14 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thompsonf import arith, as_dyadic, format_number, midpoint, parse_coordinate, parse_number
-from thompsonf.errors import DivisionByZero, MalformedNumber, OutOfRange
-from thompsonf.exactnum import MAX_CARET_EXPONENT, format_dyadic
+from thompsonf import format_number, parse_coordinate, parse_number
+from thompsonf.errors import MalformedNumber, OutOfRange
+from thompsonf.exactnum import MAX_CARET_EXPONENT, MAX_NUMBER_DIGITS, format_dyadic
 
 rationals = st.fractions(min_value=-100, max_value=100)
-coordinates = st.fractions(min_value=0, max_value=1)
 
 
 def test_parse_literal():
@@ -59,6 +57,18 @@ def test_parse_caret_exponent_bound():
         parse_number("1/2^" + "9" * 10_000)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda n: "3" * n, lambda n: "-" + "3" * n, lambda n: "1/" + "3" * n]
+)
+def test_parse_digit_bound(make):
+    assert parse_number(make(MAX_NUMBER_DIGITS)).numerator != 0
+    with pytest.raises(MalformedNumber, match=f"more than {MAX_NUMBER_DIGITS} digits"):
+        parse_number(make(MAX_NUMBER_DIGITS + 1))
+    # far past Python's int() digit limit: refused by length, never converted
+    with pytest.raises(MalformedNumber):
+        parse_number(make(50_000))
+
+
 def test_parse_coordinate_range():
     assert parse_coordinate("1") == 1
     with pytest.raises(OutOfRange):
@@ -83,73 +93,3 @@ def test_format_endpoints():
     assert format_number(Fraction(1)) == "1"
     assert format_number(Fraction(2, 4)) == "1/2"
 
-
-def test_as_dyadic_examples():
-    assert as_dyadic(Fraction(3, 4)) == (3, 2)
-    assert as_dyadic(Fraction(1, 3)) is None
-    assert as_dyadic(Fraction(0)) == (0, 0)
-    assert as_dyadic(Fraction(1)) == (1, 0)
-
-
-def test_as_dyadic_requires_coordinate():
-    with pytest.raises(OutOfRange):
-        as_dyadic(Fraction(3, 2))
-
-
-@given(coordinates)
-def test_as_dyadic_iff_power_of_two_denominator(x):
-    d = as_dyadic(x)
-    den = x.denominator
-    if den & (den - 1) == 0:
-        assert d is not None
-        assert Fraction(d.p, 2**d.q) == x
-        assert d.q == 0 or d.p % 2 == 1
-        assert d.value == x
-    else:
-        assert d is None
-
-
-@given(rationals, rationals)
-def test_arith_matches_fraction_ops(a, b):
-    assert arith(a, b, "add") == a + b
-    assert arith(a, b, "sub") == a - b
-    assert arith(a, b, "mul") == a * b
-    assert arith(a, b, "min") == min(a, b)
-    assert arith(a, b, "max") == max(a, b)
-    assert arith(a, b, "midpoint") == (a + b) / 2
-    assert arith(a, b, "compare") == (a > b) - (a < b)
-    if b != 0:
-        assert arith(a, b, "div") == a / b
-
-
-def test_arith_examples():
-    assert arith(Fraction(1, 2), Fraction(1), "midpoint") == Fraction(3, 4)
-    assert midpoint(Fraction(1, 2), Fraction(1)) == Fraction(3, 4)
-    assert arith(Fraction(1), Fraction(1, 8), "sub") == Fraction(7, 8)
-    assert arith(Fraction(5, 8), Fraction(2, 3), "compare") == -1
-
-
-def test_arith_division_by_zero():
-    with pytest.raises(DivisionByZero):
-        arith(Fraction(1), Fraction(0), "div")
-
-
-def test_arith_unknown_op():
-    with pytest.raises(ValueError):
-        arith(Fraction(1), Fraction(1), "pow")
-
-
-def test_big_integer_cross_check():
-    # lowest-terms results cross-checked against raw integer formulas by
-    # cross-multiplication, over 10^4 random pairs
-    rng = random.Random(20260810)
-    for _ in range(10_000):
-        n1, d1 = rng.randint(-10**9, 10**9), rng.randint(1, 10**9)
-        n2, d2 = rng.randint(-10**9, 10**9), rng.randint(1, 10**9)
-        a, b = Fraction(n1, d1), Fraction(n2, d2)
-        s = arith(a, b, "add")
-        assert s.numerator * (d1 * d2) == (n1 * d2 + n2 * d1) * s.denominator
-        p = arith(a, b, "mul")
-        assert p.numerator * (d1 * d2) == (n1 * n2) * p.denominator
-        c = arith(a, b, "compare")
-        assert c == ((n1 * d2 > n2 * d1) - (n1 * d2 < n2 * d1))

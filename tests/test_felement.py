@@ -10,7 +10,6 @@ from thompsonf import (
     PartitionPair,
     act_marked,
     act_partition,
-    canonical_key,
     compose,
     f_of_partition,
     from_pair,
@@ -312,16 +311,16 @@ class TestPartitionCorrespondence:
 
 class TestCanonicalKey:
     def test_identity_key_stable(self):
-        assert canonical_key(identity()) == canonical_key(compose(X0, invert(X0)))
+        assert identity().canonical_key == compose(X0, invert(X0)).canonical_key
 
     def test_generators_distinct(self):
-        assert canonical_key(X0) != canonical_key(X1)
+        assert X0.canonical_key != X1.canonical_key
 
     def test_keys_agree_with_reduced_pairs_on_small_ball(self):
         from thompsonf import ball
 
-        elements = sorted(ball(2), key=canonical_key)
-        keys = [canonical_key(f) for f in elements]
+        elements = sorted(ball(2), key=lambda f: f.canonical_key)
+        keys = [f.canonical_key for f in elements]
         assert len(set(keys)) == len(elements)
         # independent canonicalization: reduced-pair equality
         pair_keys = {reduced_pair_key(f) for f in elements}

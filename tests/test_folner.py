@@ -187,14 +187,6 @@ class TestReduce:
             measured = defect_elements(elements).max_defect
             assert measured <= delta * report.family_size / report.element_count
 
-    def test_workers_do_not_change_the_result(self):
-        rng = random.Random(34)
-        Z = random_family(rng, max_size=20)
-        serial = reduce_to_f(Z, workers=1)
-        parallel = reduce_to_f(Z, workers=4)
-        assert serial[0] == parallel[0]
-        assert serial[1] == parallel[1]
-
 
 class TestCertificate:
     def test_zero_defect_passes(self):
