@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     ToolkitError,
 )
-from .exactnum import format_number, parse_coordinate, parse_number
+from .exactnum import format_int, format_number, parse_coordinate, parse_number
 from .felement import FElement, compose, generator_table, identity
 from .folner import (
     MAX_Z_INDEX,
@@ -70,11 +70,7 @@ def parse_word(text: str) -> FElement:
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="ascii")
+    _emit_lines([json.dumps(doc, sort_keys=True, indent=2)], output)
 
 
 def _emit_lines(lines: list[str], output: str | None) -> None:
@@ -161,7 +157,7 @@ def cmd_zfamily(args: argparse.Namespace) -> int:
 
 def cmd_ball(args: argparse.Namespace) -> int:
     constant_c = parse_number(args.constant_c)
-    elements = diagnostics.ball(args.radius, args.max_radius)
+    elements = diagnostics.ball(args.radius)
     doc: dict = {"radius": args.radius, "size": len(elements)}
     if args.full:
         ordered = sorted(elements, key=lambda f: f.canonical_key)
@@ -179,7 +175,7 @@ def cmd_ball(args: argparse.Namespace) -> int:
 
 
 def cmd_tower(args: argparse.Namespace) -> int:
-    _emit({"n": args.n, "value": str(diagnostics.tower(args.n))}, args.output)
+    _emit({"n": args.n, "value": format_int(diagnostics.tower(args.n))}, args.output)
     return EXIT_OK
 
 
@@ -257,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("ball", cmd_ball, "breadth-first ball in the generators")
     p.add_argument("radius", type=int)
-    p.add_argument("--max-radius", type=int, default=8)
     p.add_argument("--workers", type=int, default=1, help=_IGNORED_FLAG)
     p.add_argument("--full", action="store_true", help="list the elements")
     p.add_argument(

@@ -28,7 +28,7 @@ from .errors import (
     RadiusTooLarge,
     TowerTooTall,
 )
-from .exactnum import ONE, ZERO, format_number, parse_coordinate
+from .exactnum import ONE, ZERO, format_int, format_number, parse_coordinate
 from .felement import (
     GENERATOR_NAMES,
     FElement,
@@ -40,7 +40,8 @@ from .felement import (
 from .partition import DyadicPartition
 
 MAX_TOWER_HEIGHT = 6
-DEFAULT_MAX_RADIUS = 8
+# ball(8) has 11237 elements; each further radius roughly triples that
+MAX_RADIUS = 8
 
 
 def tower(n: int) -> int:
@@ -69,7 +70,7 @@ class TowerVerdict:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "bound": str(self.bound),
+            "bound": format_int(self.bound),
             "observed_size": self.observed_size,
             "consistent": self.consistent,
         }
@@ -221,9 +222,7 @@ def invariance_defect(mu: FiniteMeasure, g: FElement) -> Fraction:
     return (total + lost) / 2
 
 
-def ball_with_witnesses(
-    r: int, max_radius: int = DEFAULT_MAX_RADIUS
-) -> dict[FElement, tuple[str, ...]]:
+def ball_with_witnesses(r: int) -> dict[FElement, tuple[str, ...]]:
     """Breadth-first ball of radius r with a shortest witness word per element.
 
     Deterministic: each level multiplies its frontier by the generators in
@@ -231,8 +230,8 @@ def ball_with_witnesses(
     """
     if r < 0:
         raise OutOfRange("radius must be non-negative")
-    if r > max_radius:
-        raise RadiusTooLarge(f"radius {r} exceeds the limit {max_radius}")
+    if r > MAX_RADIUS:
+        raise RadiusTooLarge(f"radius {r} exceeds the limit {MAX_RADIUS}")
     table = generator_table()
     seen: dict[FElement, tuple[str, ...]] = {identity(): ()}
     frontier: list[FElement] = [identity()]
@@ -247,6 +246,6 @@ def ball_with_witnesses(
     return seen
 
 
-def ball(r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> frozenset[FElement]:
+def ball(r: int) -> frozenset[FElement]:
     """All elements expressible as words of length <= r in the generators."""
-    return frozenset(ball_with_witnesses(r, max_radius))
+    return frozenset(ball_with_witnesses(r))

@@ -55,7 +55,11 @@ class TowerTooTall(ToolkitError):
 
 
 class RadiusTooLarge(ToolkitError):
-    """Ball radius beyond the configured enumeration limit."""
+    """Ball radius beyond the enumeration limit."""
+
+
+class NumberTooLong(ToolkitError):
+    """A computed integer has more digits than a printed number may have."""
 
 
 class InvalidMeasure(ToolkitError):
@@ -78,4 +82,5 @@ PRECONDITION_ERRORS = (
     MeshTooLarge,
     TowerTooTall,
     RadiusTooLarge,
+    NumberTooLong,
 )

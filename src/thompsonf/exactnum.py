@@ -14,6 +14,8 @@ whole values (``"0"``, ``"1"``).  The accepted input grammar is
 ``INT | INT "/" INT | INT "/2^" INT`` with no whitespace inside a token, at
 most :data:`MAX_NUMBER_DIGITS` digits in the integer part and in a plain
 denominator, and a caret exponent of at most :data:`MAX_CARET_EXPONENT`.
+Integers print through :func:`format_int`, which refuses more than
+:data:`MAX_NUMBER_DIGITS` digits, so every printed number parses back.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import MalformedNumber, OutOfRange
+from .errors import MalformedNumber, NumberTooLong, OutOfRange
 
 ExactNumber = Fraction
 
@@ -37,6 +39,7 @@ MAX_CARET_EXPONENT = 4096
 # MalformedNumber whatever that limit is set to.  2**MAX_CARET_EXPONENT has
 # 1234 digits, so every value the caret form reaches prints back within it.
 MAX_NUMBER_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_NUMBER_DIGITS
 
 _NUMBER_RE = re.compile(r"(-?\d+)(?:/(?:2\^(\d+)|([1-9]\d*)))?\Z")
 
@@ -80,11 +83,18 @@ def parse_coordinate(text: str) -> Fraction:
     return value
 
 
+def format_int(n: int) -> str:
+    """Decimal n, refused before ``str()`` past :data:`MAX_NUMBER_DIGITS` digits."""
+    if abs(n) < _DIGIT_BOUND:
+        return str(n)
+    raise NumberTooLong(f"a result has more than {MAX_NUMBER_DIGITS} digits")
+
+
 def format_number(x: Fraction) -> str:
     """Serialize in lowest terms: ``"p/q"``, or bare ``"p"`` for integers."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return format_int(x.numerator)
+    return f"{format_int(x.numerator)}/{format_int(x.denominator)}"
 
 
 def format_dyadic(n: int, e: int) -> str:
@@ -94,7 +104,7 @@ def format_dyadic(n: int, e: int) -> str:
     common = min((n & -n).bit_length() - 1, e)
     n >>= common
     e -= common
-    return str(n) if e == 0 else f"{n}/{1 << e}"
+    return format_int(n) if e == 0 else f"{format_int(n)}/{format_int(1 << e)}"
 
 
 def is_power_of_two(n: int) -> bool:

@@ -52,10 +52,6 @@ from .partition import DyadicPartition, MarkedSet, i_n
 Side = Literal["left", "right"]
 
 
-def _is_power_of_two_fraction(x: Fraction) -> bool:
-    return is_power_of_two(x.numerator) and is_power_of_two(x.denominator)
-
-
 def _shift(v: int, k: int) -> int:
     """v * 2^k, for a v that 2^-k divides when k < 0."""
     return v << k if k >= 0 else v >> -k
@@ -86,7 +82,7 @@ class FElement:
             (b2 - b1) / (a2 - a1) for (a1, b1), (a2, b2) in zip(pts, pts[1:])
         ]
         for s in slopes:
-            if not _is_power_of_two_fraction(s):
+            if not (is_power_of_two(s.numerator) and is_power_of_two(s.denominator)):
                 raise InvalidElement(f"slope {s} is not a power of two")
 
         xs, ys = _scaled([a for a, _ in pts], [b for _, b in pts])
@@ -284,12 +280,8 @@ class PartitionPair:
         )
 
 
-def identity() -> FElement:
-    return _identity()
-
-
 @lru_cache(maxsize=1)
-def _identity() -> FElement:
+def identity() -> FElement:
     return FElement(((ZERO, ZERO), (ONE, ONE)))
 
 
@@ -388,8 +380,8 @@ def to_minimal_pair(f: FElement) -> PartitionPair:
                 raise InvalidElement("subdivision did not terminate")
     domain.sort()
     pair = PartitionPair(
-        DyadicPartition(Fraction(a, one) for a in domain),
-        DyadicPartition(Fraction(image(a), one) for a in domain),
+        DyadicPartition._from_sorted(Fraction(a, one) for a in domain),
+        DyadicPartition._from_sorted(Fraction(image(a), one) for a in domain),
     )
     object.__setattr__(f, "_minpair", pair)
     return pair
@@ -426,10 +418,11 @@ def act_marked(f: FElement, X: MarkedSet, side: Side = "left") -> MarkedSet:
     """Pointwise image of a marked set: f.X under f, X.f under f^-1.
 
     The side conventions make both versions genuine actions:
-    (X.f).g = X.(fg) and f.(g.X) = (fg).X.
+    (X.f).g = X.(fg) and f.(g.X) = (fg).X.  Both maps are increasing, so
+    the image points come out sorted and distinct.
     """
     mapper = f.apply if side == "left" else f.apply_inverse
-    return MarkedSet(mapper(x) for x in X.points)
+    return MarkedSet._from_sorted(mapper(x) for x in X.points)
 
 
 def act_partition(g: FElement, T: DyadicPartition) -> DyadicPartition:
@@ -442,7 +435,7 @@ def act_partition(g: FElement, T: DyadicPartition) -> DyadicPartition:
         raise DomainNotContained(
             "the minimal domain partition of g is not contained in T"
         )
-    return DyadicPartition(g.apply(t) for t in T.points)
+    return DyadicPartition._from_sorted(g.apply(t) for t in T.points)
 
 
 def f_of_partition(T: DyadicPartition) -> FElement:

@@ -171,9 +171,7 @@ def defect_marked(
         moved = frozenset(act_marked(g, X, side) for X in family)
         count = len(family ^ moved)
         entries.append(GeneratorDefect(name, count, Fraction(count, len(family))))
-    return FolnerReport(
-        len(family), side, tuple(entries), mesh_max=max(mesh(X) for X in family)
-    )
+    return FolnerReport(len(family), side, tuple(entries), mesh_max=mesh_max(family))
 
 
 def z_family(A: Iterable[int]) -> MarkedFamily:
@@ -214,9 +212,7 @@ def reduce_to_f(
     and recorded.
     """
     family = sorted(frozenset(Z), key=lambda X: X.points)
-    if not family:
-        raise EmptyFamily("cannot reduce an empty family")
-    mesh_input = max(mesh(X) for X in family)
+    mesh_input = mesh_max(family)  # refuses an empty family
     if mesh_input > MESH_BOUND:
         raise MeshTooLarge(
             f"family mesh {format_number(mesh_input)} exceeds "
@@ -230,7 +226,7 @@ def reduce_to_f(
     mesh_after = ZERO
     for name, g in _named_generators(gens):
         moved = [act_marked(g, X) for X in family]
-        mesh_after = max(mesh_after, max(mesh(Y) for Y in moved))
+        mesh_after = max(mesh_after, mesh_max(moved))
         lhs = frozenset(f_of_partition(t_of(Y)) for Y in moved)
         rhs = frozenset(compose(g, fe) for fe in reduced)
         checks.append((name, lhs == rhs))

@@ -10,7 +10,13 @@ partition each of whose half-open leaf intervals [s, t) contains a point of
 the given marked set.  It is computed by greedy top-down subdivision, which
 is validity-preserving by construction and reaches the maximum because any
 partition satisfying the leaf condition has every ancestor interval occupied
-on both halves.
+on both halves.  Each leaf carries the index range of the sorted points in
+it, so one bisection inside that range decides the split.
+
+``MarkedSet(...)`` and ``DyadicPartition(...)`` validate outside input.
+Results valid by construction (``t_of``, ``common_refinement``, images under
+the group, minimal pairs) go through the trusted ``_from_sorted``, which
+takes sorted distinct points unchecked.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from .errors import InvalidMarkedSet, NotStandardPartition
 from .exactnum import ONE, ZERO, format_number, is_power_of_two, parse_coordinate
+
+_M = TypeVar("_M", bound="MarkedSet")
 
 
 class MarkedSet:
@@ -43,6 +51,13 @@ class MarkedSet:
                 f"{[format_number(Fraction(p)) for p in pts]}"
             )
         object.__setattr__(self, "points", tuple(pts))
+
+    @classmethod
+    def _from_sorted(cls: type[_M], points: Iterable[Fraction]) -> _M:
+        """Trusted constructor for internal results: sorted distinct points, unchecked."""
+        X = object.__new__(cls)
+        object.__setattr__(X, "points", tuple(points))
+        return X
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MarkedSet is immutable")
@@ -71,17 +86,11 @@ class MarkedSet:
     def issubset(self, other: "MarkedSet") -> bool:
         return all(p in other for p in self.points)
 
-    def gaps(self) -> Iterator[Fraction]:
-        """Widths of the consecutive intervals, left to right."""
-        pts = self.points
-        for i in range(len(pts) - 1):
-            yield pts[i + 1] - pts[i]
-
     def to_strings(self) -> list[str]:
         return [format_number(p) for p in self.points]
 
     @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "MarkedSet":
+    def from_strings(cls: type[_M], items: Iterable[str]) -> _M:
         return cls(parse_coordinate(s) for s in items)
 
 
@@ -105,27 +114,23 @@ class DyadicPartition(MarkedSet):
     def __init__(self, points: Iterable[Fraction | int]) -> None:
         super().__init__(points)
         pts = self.points
-        for i in range(len(pts) - 1):
-            if not _pair_is_standard(pts[i], pts[i + 1]):
+        for a, b in zip(pts, pts[1:]):
+            if not _pair_is_standard(a, b):
                 raise NotStandardPartition(
-                    f"[{format_number(pts[i])}, {format_number(pts[i + 1])}] "
-                    "is not a standard dyadic interval"
+                    f"[{format_number(a)}, {format_number(b)}] is not a standard dyadic interval"
                 )
-
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "DyadicPartition":
-        return cls(parse_coordinate(s) for s in items)
 
 
 def mesh(X: MarkedSet) -> Fraction:
     """Largest gap between consecutive points of X."""
-    return max(X.gaps())
+    pts = X.points
+    return max(b - a for a, b in zip(pts, pts[1:]))
 
 
 def is_standard(X: MarkedSet) -> bool:
     """True iff X satisfies the standard-dyadic-partition invariant."""
     pts = X.points
-    return all(_pair_is_standard(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+    return all(_pair_is_standard(a, b) for a, b in zip(pts, pts[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +144,7 @@ def i_n(n: int) -> DyadicPartition:
         raise ValueError("n must be non-negative")
     points = [ONE - Fraction(1, 2**i) for i in range(n + 2)]
     points.append(ONE)
-    return DyadicPartition(points)
+    return DyadicPartition._from_sorted(points)
 
 
 def t_of(X: MarkedSet) -> DyadicPartition:
@@ -150,24 +155,22 @@ def t_of(X: MarkedSet) -> DyadicPartition:
     membership is half-open, so 1 never witnesses any leaf.  The degenerate
     X = {0,1} yields {0,1}.
     """
-    xs = X.points
-
-    def occupied(a: Fraction, b: Fraction) -> bool:
-        i = bisect_left(xs, a)
-        return i < len(xs) and xs[i] < b
-
+    xs = X.points[:-1]  # every point but 1 lies in [0, 1)
     boundaries = [ZERO, ONE]
-    stack: list[tuple[Fraction, Fraction]] = [(ZERO, ONE)]
+    # (a, b, lo, hi): the leaf [a, b) holds exactly the points xs[lo:hi]
+    stack = [(ZERO, ONE, 0, len(xs))]
     while stack:
-        a, b = stack.pop()
+        a, b, lo, hi = stack.pop()
         m = (a + b) / 2
-        if occupied(a, m) and occupied(m, b):
+        j = bisect_left(xs, m, lo, hi)
+        if lo < j < hi:
             boundaries.append(m)
-            stack.append((a, m))
-            stack.append((m, b))
-    return DyadicPartition(boundaries)
+            stack.append((a, m, lo, j))
+            stack.append((m, b, j, hi))
+    boundaries.sort()
+    return DyadicPartition._from_sorted(boundaries)
 
 
 def common_refinement(S: DyadicPartition, T: DyadicPartition) -> DyadicPartition:
     """Union of the two point sets, again a standard dyadic partition."""
-    return DyadicPartition(S.points + T.points)
+    return DyadicPartition._from_sorted(sorted(set(S.points).union(T.points)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ToolkitError
 from .exactnum import ONE, ZERO
@@ -139,10 +139,6 @@ class _Suite:
         }
 
 
-def _word_witness(word: Sequence[str]) -> list[str]:
-    return list(word)
-
-
 def _suite_generator_sanity(table: dict[str, FElement]) -> _Suite:
     suite = _Suite("generator_sanity")
     x0, x1 = table["x0"], table["x1"]
@@ -220,7 +216,7 @@ def _suite_group_axioms(
     for triple in words:
         suite.record(
             check(triple),
-            lambda triple=triple: {"words": [_word_witness(w) for w in triple]},
+            lambda triple=triple: {"words": [list(w) for w in triple]},
         )
     return suite
 

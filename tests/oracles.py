@@ -6,13 +6,15 @@ linear scans, set differences are quadratic pairwise comparisons, and
 element equality goes through the reduced-pair view instead of canonical
 breakpoint keys.
 
-The reference kernel at the end is the original general-``Fraction``
-implementation of group elements, kept as plain functions on breakpoint
-tuples: the validating canonicalisation, the candidate-set composition and
-exact evaluation.  The scaled-integer kernel is checked against it.
+The reference kernel is the original general-``Fraction`` implementation
+of group elements, kept as plain functions on breakpoint tuples: the
+validating canonicalisation, the candidate-set composition and exact
+evaluation.  The scaled-integer kernel is checked against it.  The last
+reference is the original ``t_of``, which bisects the whole point list for
+every leaf and validates its result.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -199,3 +201,26 @@ def ref_key(breaks):
     return ";".join(f"{format_number(a)}:{format_number(b)}" for a, b in breaks).encode(
         "ascii"
     )
+
+
+# -- reference partition layer ---------------------------------------------
+
+
+def ref_t_of(X):
+    """Points of T(X): greedy subdivision, each half tested on the whole list."""
+    xs = X.points
+
+    def occupied(a, b):
+        i = bisect_left(xs, a)
+        return i < len(xs) and xs[i] < b
+
+    boundaries = [ZERO, ONE]
+    stack = [(ZERO, ONE)]
+    while stack:
+        a, b = stack.pop()
+        m = (a + b) / 2
+        if occupied(a, m) and occupied(m, b):
+            boundaries.append(m)
+            stack.append((a, m))
+            stack.append((m, b))
+    return DyadicPartition(boundaries).points

@@ -10,7 +10,7 @@ import pytest
 from thompsonf import FiniteMeasure, IntervalChain, MarkedSet, PartitionPair, z_family
 from thompsonf.cli import main, parse_word
 from thompsonf.errors import MalformedInput, MalformedNumber, OutOfRange
-from thompsonf.exactnum import MAX_NUMBER_DIGITS
+from thompsonf.exactnum import MAX_NUMBER_DIGITS, parse_number
 from thompsonf.folner import MAX_Z_INDEX, family_to_lines
 
 F = Fraction
@@ -91,6 +91,28 @@ class TestSimpleCommands:
         assert result.stdout == ""
         assert "caret exponent above 4096" in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tower", "6"],
+            ["compose", "x0^20000"],
+            ["eval", "x0", "1/" + "9" * MAX_NUMBER_DIGITS],
+        ],
+        ids=["tower", "compose", "eval"],
+    )
+    def test_result_too_long_to_print_is_precondition(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"more than {MAX_NUMBER_DIGITS} digits" in captured.err
+
+    def test_eval_image_at_digit_bound_parses_back(self, capsys):
+        nines = 10 ** (MAX_NUMBER_DIGITS - 1) - 1
+        code, out = run(capsys, "eval", "x0", f"1/{nines}")
+        assert code == 0
+        # x0 halves [0, 1/2], so the image denominator has MAX_NUMBER_DIGITS digits
+        assert parse_number(json.loads(out)["image"]) == F(1, 2 * nines)
+
     @pytest.mark.parametrize("make", [lambda n: "0" * n, lambda n: "1/" + "3" * n])
     def test_eval_digit_bound(self, make):
         assert run_module("eval", "x0", make(MAX_NUMBER_DIGITS)).returncode == 0
@@ -118,9 +140,9 @@ class TestSimpleCommands:
         assert len(doc["elements"]) == 5
 
     def test_ball_radius_limit(self, capsys):
-        assert main(["ball", "3", "--max-radius", "2"]) == 3
+        assert main(["ball", "9"]) == 3
         err = capsys.readouterr().err
-        assert "precondition violated: radius 3 exceeds the limit 2" in err
+        assert "precondition violated: radius 9 exceeds the limit 8" in err
 
     def test_zfamily_count(self, capsys):
         code, out = run(capsys, "zfamily", "--count", "2")

@@ -220,8 +220,8 @@ class TestBall:
     def test_radius_limit(self):
         with pytest.raises(RadiusTooLarge):
             ball(9)
-        with pytest.raises(RadiusTooLarge):
-            ball(3, max_radius=2)
+        with pytest.raises(RadiusTooLarge, match="radius 9 exceeds the limit 8"):
+            ball_with_witnesses(9)
 
     def test_negative_radius(self):
         with pytest.raises(OutOfRange):

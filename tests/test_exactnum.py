@@ -5,8 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thompsonf import format_number, parse_coordinate, parse_number
-from thompsonf.errors import MalformedNumber, OutOfRange
-from thompsonf.exactnum import MAX_CARET_EXPONENT, MAX_NUMBER_DIGITS, format_dyadic
+from thompsonf.errors import PRECONDITION_ERRORS, MalformedNumber, NumberTooLong, OutOfRange
+from thompsonf.exactnum import (
+    MAX_CARET_EXPONENT,
+    MAX_NUMBER_DIGITS,
+    format_dyadic,
+    format_int,
+)
 
 rationals = st.fractions(min_value=-100, max_value=100)
 
@@ -86,6 +91,19 @@ def test_format_parse_round_trip(x):
 def test_format_dyadic_matches_format_number(e, n):
     n %= (1 << e) + 1
     assert format_dyadic(n, e) == format_number(Fraction(n, 2**e))
+
+
+def test_format_digit_bound():
+    widest = 10**MAX_NUMBER_DIGITS - 1
+    assert parse_number(format_number(Fraction(-1, widest))) == Fraction(-1, widest)
+    for n in (widest + 1, -widest - 1):
+        with pytest.raises(NumberTooLong, match=f"more than {MAX_NUMBER_DIGITS} digits"):
+            format_int(n)
+    with pytest.raises(NumberTooLong):
+        format_number(Fraction(1, widest + 1))
+    with pytest.raises(NumberTooLong):
+        format_dyadic(1, 4 * MAX_NUMBER_DIGITS)
+    assert issubclass(NumberTooLong, PRECONDITION_ERRORS)
 
 
 def test_format_endpoints():
